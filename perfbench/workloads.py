@@ -263,9 +263,9 @@ class ClusterWorkload:
     def _metrics(self, ctx, times, result, setup_s: float) -> Dict[str, float]:
         call = statistics.median(times)
         # No reads or writes here: the one request is the cluster() call,
-        # whose labels become readable when it returns.  A run holds a
-        # handful of calls, too few for a tail percentile (the p99 of five
-        # calls is their maximum), so every latency slot is the median.
+        # whose labels become readable when it returns.  A run holds 5-12
+        # calls, too few for a tail percentile (their p99 is their
+        # maximum), so every latency slot is the median.
         call_ms = call * 1e3
         return {
             "setup_s": setup_s,

@@ -12,7 +12,9 @@ metrics.  The last line of standard output is one JSON object::
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {name: {"value", "unit"}}}
 
 Human-readable counters, checks and layer shares go to the lines before
-it.  The exit code is 0 only when every correctness check passed.
+it.  ``--workload all`` runs each workload in a process of its own and
+ends with one merged object whose metrics are named
+``<workload>/<metric>``.  The exit code is 0 only when every correctness check passed.
 See ``perfbench/README.md`` for why each workload exists.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -72,25 +75,71 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> dict:
     }
 
 
+def run_all(args) -> int:
+    """Run every ledger workload in a process of its own; merge the results.
+
+    A separate process per workload keeps ``peak_rss_mb`` and every lazy
+    cache of one workload out of the next one's figures.  The merged last
+    line names each metric ``<workload>/<metric>``.
+    """
+    merged = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
+    ok = True
+    for name in (w["name"] for w in SPEC["workloads"]):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                os.path.abspath(__file__),
+                "--workload",
+                name,
+                "--seed",
+                str(args.seed),
+                "--seconds",
+                str(args.seconds),
+                "--trace",
+                str(args.trace),
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        lines = proc.stdout.strip().splitlines()
+        print("\n".join(lines[:-1]))
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, ValueError):
+            print(f"[{name}] FAILED: no result (exit code {proc.returncode})")
+            merged["correct"] = False
+            merged["attempted"] += 1
+            merged["failed"] += 1
+            ok = False
+            continue
+        ok = ok and proc.returncode == 0
+        for key in ("attempted", "failed"):
+            merged[key] += result[key]
+        merged["correct"] = merged["correct"] and result["correct"]
+        for metric, value in result["metrics"].items():
+            merged["metrics"][f"{name}/{metric}"] = value
+        sys.stdout.flush()
+    print(json.dumps(merged))
+    return 0 if ok else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--workload",
         required=True,
         choices=sorted(workloads.WORKLOADS) + ["all"],
-        help="workload to run ('all' runs each in turn and prints one result per workload)",
+        help="workload to run ('all' runs each in a process of its own)",
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
-    ok = True
-    for name in names:
-        result = run_one(name, args.seed, args.seconds, bool(args.trace))
-        print(json.dumps(result))
-        ok = ok and result["correct"]
-    return 0 if ok else 1
+    if args.workload == "all":
+        return run_all(args)
+    result = run_one(args.workload, args.seed, args.seconds, bool(args.trace))
+    print(json.dumps(result))
+    return 0 if result["correct"] else 1
 
 
 if __name__ == "__main__":

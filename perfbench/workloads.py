@@ -3,7 +3,9 @@
 Every workload is a pure function of its seed.  A run sets up several
 times (input generation, bootstrap clustering or pool spawn, one untimed
 warm-up call) and reports the median as ``setup_s``; the last set-up is
-then measured for ``seconds``.  With tracing on, the timed phase is split
+then measured for ``seconds``.  Timings of work on the CPU are reported
+in reference seconds: divided by the host's slowness around them, as
+measured by ``speed.SpeedGauge``.  With tracing on, the timed phase is split
 into an untraced half and a traced half, so the per-layer numbers come
 with the tracing overhead beside them.
 
@@ -44,11 +46,12 @@ from repro.serving.epoch import label_digest
 from repro.serving.requests import CLASSES, READ_KINDS, STATUSES
 
 from layers import LAYERS, LayerTracer
+from speed import SpeedGauge
 
 #: Set-ups per run; setup_s is their median.  A serve-open set-up takes
 #: ~0.5 s, so it repeats more often to cover a similar wall time.
 CLUSTER_SETUPS = 3
-SERVE_SETUPS = 9
+SERVE_SETUPS = 5
 #: Timed cluster() calls per measured phase, even when ``seconds`` is short.
 MIN_CALLS = 2
 
@@ -133,17 +136,23 @@ def ms_percentile(seconds, q: float) -> float:
     return float(np.percentile(np.asarray(seconds, dtype=np.float64), q)) * 1e3
 
 
-def repeated_setup(setup: Callable[[], SimpleNamespace], close, repeats: int) -> tuple:
-    """Set up ``repeats`` times; keep the last, return the median time."""
-    times = []
+def repeated_setup(
+    setup: Callable[[], SimpleNamespace], close, repeats: int, gauge: SpeedGauge
+) -> tuple:
+    """Set up ``repeats`` times; keep the last.
+
+    Returns the context and the median set-up time in reference seconds
+    and in raw seconds.
+    """
+    raw, scaled = [], []
     ctx = None
     for _ in range(repeats):
         if ctx is not None:
             close(ctx)
-        t0 = time.perf_counter()
-        ctx = setup()
-        times.append(time.perf_counter() - t0)
-    return ctx, statistics.median(times)
+        ctx, seconds, ref_seconds = gauge.timed(setup)
+        raw.append(seconds)
+        scaled.append(ref_seconds)
+    return ctx, statistics.median(scaled), statistics.median(raw)
 
 
 def self_check(tracer_totals, active, bypass, outcome: Outcome) -> None:
@@ -235,25 +244,32 @@ class ClusterWorkload:
         if label_digest(result.assignments) != ctx.digest:
             outcome.fail("label digest differs from the warm-up call's")
 
-    def _calls(self, ctx, seconds: float, outcome: Outcome):
-        times, result = [], None
+    def _calls(self, ctx, seconds: float, gauge: SpeedGauge, outcome: Outcome):
+        """Call ``cluster()`` back to back for about ``seconds``.
+
+        Returns each call's raw seconds, its reference seconds and the last
+        result.
+        """
+        times, ref_times, result = [], [], None
         start = time.perf_counter()
         # Start another call only while it would end near the deadline.
         while len(times) < MIN_CALLS or (
             time.perf_counter() - start + times[-1] / 2 < seconds
         ):
-            t0 = time.perf_counter()
-            result = cluster(ctx.graph, ctx.config, ctx.options)
-            times.append(time.perf_counter() - t0)
+            result, raw, ref = gauge.timed(
+                lambda: cluster(ctx.graph, ctx.config, ctx.options)
+            )
+            times.append(raw)
+            ref_times.append(ref)
             outcome.attempted += 1
             self._check(ctx, result, outcome)
-        return times, result
+        return times, ref_times, result
 
-    def _metrics(self, ctx, times, result, setup_s: float) -> Dict[str, float]:
-        # The median, not the minimum: a shared virtual CPU can run a call
-        # up to 35% faster for a few seconds at a time, and the minimum
-        # follows whether a run caught such a window (README.md, "Noise").
-        call = statistics.median(times)
+    def _metrics(self, ctx, ref_times, result, setup_s: float) -> Dict[str, float]:
+        # The median of calls timed in reference seconds: a call's raw time
+        # follows the shared host's speed, which can halve within a minute
+        # (speed.py, README.md "Noise").
+        call = statistics.median(ref_times)
         # No reads or writes here: the one request is the cluster() call,
         # whose labels become readable when it returns.  A run holds too
         # few calls for a tail percentile (their p99 is their maximum), so
@@ -272,21 +288,26 @@ class ClusterWorkload:
 
     def run(self, seed: int, seconds: float, trace: bool) -> Outcome:
         outcome = Outcome()
-        ctx, setup_s = repeated_setup(
-            lambda: self._setup(seed), self._close, CLUSTER_SETUPS
+        gauge = SpeedGauge()
+        ctx, setup_s, setup_raw = repeated_setup(
+            lambda: self._setup(seed), self._close, CLUSTER_SETUPS, gauge
         )
         outcome.attempted += CLUSTER_SETUPS
         try:
             if not trace:
-                times, result = self._calls(ctx, seconds, outcome)
+                times, ref_times, result = self._calls(ctx, seconds, gauge, outcome)
             else:
-                times, result = self._calls(ctx, seconds / 2, outcome)
-                base = self._metrics(ctx, times, result, setup_s)
+                times, ref_times, result = self._calls(
+                    ctx, seconds / 2, gauge, outcome
+                )
+                base = self._metrics(ctx, ref_times, result, setup_s)
                 shared0 = ctx.pool.stats()["bytes_shared"] if ctx.pool else 0
                 with LayerTracer() as tracer:
-                    times, result = self._calls(ctx, seconds / 2, outcome)
+                    times, ref_times, result = self._calls(
+                        ctx, seconds / 2, gauge, outcome
+                    )
                 shared = (ctx.pool.stats()["bytes_shared"] if ctx.pool else 0) - shared0
-            outcome.metrics = self._metrics(ctx, times, result, setup_s)
+            outcome.metrics = self._metrics(ctx, ref_times, result, setup_s)
             if self.pool_workers:
                 # The backend must not change labels: compare with the
                 # inline run of the same graph, config and seed.
@@ -303,6 +324,9 @@ class ClusterWorkload:
             "core.iterations": stats.total_iterations,
             "core.moves": stats.total_moves,
             "calls": len(times),
+            "host.slowdown": gauge.median_factor(),
+            "raw.setup_s": setup_raw,
+            "raw.call_s": statistics.median(times),
         }
         if trace:
             self._trace_report(tracer, times, base, shared, outcome)
@@ -318,6 +342,7 @@ class ClusterWorkload:
                 "core.levels": outcome.counters["core.levels"],
                 "core.iterations": outcome.counters["core.iterations"],
                 "core.moves": outcome.counters["core.moves"],
+                "host.slowdown": outcome.counters["host.slowdown"],
                 "serving.commit_busy_frac": 0.0,
                 "serving.gen_late_p99_ms": 0.0,
                 "serving.read_p50_ms": 0.0,
@@ -507,6 +532,9 @@ class ServeOpen:
             "cluster_edges_per_s": ctx.graph.num_directed_edges
             / statistics.median(phase.commit_s),
             "objective": 2.0 * ctx.gateway.epoch.f_objective,
+            # The load phase is timed in raw wall seconds: its commits and
+            # read stalls did not follow the speed probe (README.md,
+            # "Noise"), and visibility is mostly the wait for a commit tick.
             "read_p50_ms": ms_percentile(phase.read_s, 50),
             "read_p99_ms": ms_percentile(phase.read_s, 99),
             "write_visible_p50_ms": ms_percentile(phase.visible_s, 50),
@@ -578,8 +606,9 @@ class ServeOpen:
 
     def run(self, seed: int, seconds: float, trace: bool) -> Outcome:
         outcome = Outcome()
-        ctx, setup_s = repeated_setup(
-            lambda: self._setup(seed), self._close, SERVE_SETUPS
+        gauge = SpeedGauge()
+        ctx, setup_s, setup_raw = repeated_setup(
+            lambda: self._setup(seed), self._close, SERVE_SETUPS, gauge
         )
         try:
             if not trace:
@@ -594,6 +623,8 @@ class ServeOpen:
                         ctx, self._requests(ctx, seconds / 2, seed + 1)
                     )
                 self._check_phase(phase, outcome)
+            # One probe after the load, so that host.slowdown covers it.
+            gauge.factor()
             outcome.metrics = self._metrics(ctx, phase, setup_s)
             # Replay runs untraced: in a traced run it also proves the
             # wrappers left every published epoch bit-identical.
@@ -610,6 +641,8 @@ class ServeOpen:
             "commit_busy_frac": sum(phase.commit_s) / phase.wall_s,
             "gen_late_p99_ms": ms_percentile(phase.late_s, 99),
             "read_p50_ms": outcome.metrics["read_p50_ms"],
+            "host.slowdown": gauge.median_factor(),
+            "raw.setup_s": setup_raw,
         }
         if trace:
             self._trace_report(tracer, phase, base, outcome)
@@ -624,6 +657,7 @@ class ServeOpen:
                 "core.levels": 0,
                 "core.iterations": 0,
                 "core.moves": 0,
+                "host.slowdown": outcome.counters["host.slowdown"],
                 "serving.commit_busy_frac": sum(phase.commit_s) / phase.wall_s,
                 "serving.gen_late_p99_ms": ms_percentile(phase.late_s, 99),
                 "serving.read_p50_ms": ms_percentile(phase.read_s, 50),

@@ -2,9 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast test-dynamic test-backend test-serving api-check \
-	smoke-obs baselines \
-	compare-baselines bench bench-snapshot bench-kernels compare-kernels \
-	chaos bench-supervisor bench-dynamic bench-backend bench-serving \
+	smoke-obs bench perfbench chaos bench-supervisor bench-backend \
 	doctor obs-report ci
 
 ## Full test suite (tier 1).
@@ -43,47 +41,18 @@ smoke-obs:
 	$(PYTHON) -m pytest -q -m obs
 	$(PYTHON) -m repro.cli cluster --karate --resolution 0.05 --seed 3 \
 	    --trace /tmp/repro-smoke-trace.jsonl
-	$(PYTHON) -m repro.obs.bench validate-trace /tmp/repro-smoke-trace.jsonl
-
-## Regenerate the committed BENCH_*.json baselines.
-baselines:
-	$(PYTHON) -m repro.obs.bench emit
-
-## Re-measure into a scratch dir and compare against the committed
-## baselines (>10% regressions exit nonzero).
-compare-baselines:
-	$(PYTHON) -m repro.obs.bench emit --out /tmp/repro-bench-current
-	$(PYTHON) -m repro.obs.bench compare \
-	    benchmarks/baselines/BENCH_engines.json \
-	    /tmp/repro-bench-current/BENCH_engines.json
-	$(PYTHON) -m repro.obs.bench compare \
-	    benchmarks/baselines/BENCH_overhead.json \
-	    /tmp/repro-bench-current/BENCH_overhead.json
+	$(PYTHON) -m repro.cli obs validate-trace /tmp/repro-smoke-trace.jsonl
 
 ## Per-figure benchmark scripts (pytest-benchmark).
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-## Refresh the committed repo-root BENCH_PR3.json / BENCH_PR4.json
-## snapshots (telemetry coverage + kernel speedups); commit the result.
-bench-snapshot:
-	$(PYTHON) -m repro.obs.bench emit --snapshot-only
-
-## Refresh only the kernel snapshot (BENCH_PR4.json): vectorized-vs-
-## reference speedups plus end-to-end parity rows.
-bench-kernels:
-	$(PYTHON) -m repro.obs.bench emit --snapshot-only
-
-## Re-measure the kernel snapshot into a scratch dir and compare against
-## the committed BENCH_PR4.json.  Wall-clock speedup ratios are noisier
-## than the deterministic f/sim metrics, so this gate uses a wider 30%
-## tolerance than the default 10%.
-compare-kernels:
-	$(PYTHON) -m repro.obs.bench emit --snapshot-only \
-	    --snapshot-dir /tmp/repro-bench-current
-	$(PYTHON) -m repro.obs.bench compare \
-	    BENCH_PR4.json /tmp/repro-bench-current/BENCH_PR4.json \
-	    --tolerance 0.30
+## The performance ledger: every BENCHMARK.json workload end to end, one
+## process each (see perfbench/README.md).  Exits nonzero when any
+## correctness check fails (objective recomputation, label-digest
+## stability, replay digests, request accounting).
+perfbench:
+	$(PYTHON) perfbench/run.py --workload all
 
 ## Supervised chaos matrix: every fault site x every engine x both
 ## kernels on the karate workload, asserting the recovery invariants
@@ -97,27 +66,11 @@ chaos:
 bench-supervisor:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_supervisor.py
 
-## Dynamic updates vs full recompute (>=5x fewer candidate evaluations at
-## an equal objective); the same suite behind the committed BENCH_PR7.json
-## (refresh with `python -m repro.dynamic.bench --out .`).
-bench-dynamic:
-	$(PYTHON) -m pytest -x -q benchmarks/bench_dynamic.py
-
-## Execution-backend sweep: 1/2/4-worker wall clock vs the simulated
-## baseline on scale-12 RMAT + LFR.  Parity (bit-identical results) is
-## asserted unconditionally; the >=2x move-eval speedup gate applies only
-## on hosts with >=4 CPUs (the committed BENCH_PR9.json records
-## host_cpu_count; refresh with `python -m repro.parallel.backend.bench
-## --out .`).
+## Execution-backend move-eval speedup: 1/2/4 warm workers on scale-12
+## RMAT; the >=2x gate at 4 workers applies only on hosts with >=4 CPUs
+## (parity with the simulated runtime is a tier-1 test).
 bench-backend:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
-
-## Serving gateway vs the serial read discipline on the virtual clock:
-## >=1.5x read throughput with bit-identical committed label sequence
-## and full shed/retry accounting; the suite behind the committed
-## BENCH_PR10.json (refresh with `python -m repro.serving.bench --out .`).
-bench-serving:
-	$(PYTHON) -m pytest -x -q benchmarks/bench_serving.py
 
 ## Run doctor over fresh instrumented runs: a batch clustering (health
 ## rules over stats/trace/metrics + registry trend history) and a dynamic
@@ -154,14 +107,12 @@ obs-report: doctor
 	    --metrics /tmp/repro-doctor/update-metrics.jsonl
 
 ## The full gate a PR must pass: tier-1 tests (which include the
-## parallel_backend parity/leak suite and the serving suite), the
-## API-surface drift check, the observability smoke, the
-## committed-baseline regression compare (including the kernel snapshot),
-## the supervised chaos matrix, the run doctor + HTML report, the
-## execution-backend parity/speedup bench, the serving-gateway
-## equivalence/speedup bench, and the <3% overhead benches (disabled
-## instrumentation, no-fault supervision).
-ci: test api-check smoke-obs compare-baselines compare-kernels chaos \
-	bench-dynamic bench-backend bench-serving obs-report
+## parallel_backend parity/leak suite, the serving suite, the dynamic
+## and serving cost gates and the pinned engine baselines), the
+## API-surface drift check, the observability smoke, the supervised chaos
+## matrix, the run doctor + HTML report, the execution-backend speedup
+## bench, the <3% overhead benches (disabled instrumentation, no-fault
+## supervision), and the perfbench ledger's correctness checks.
+ci: test api-check smoke-obs chaos bench-backend obs-report perfbench
 	$(PYTHON) -m pytest -x -q benchmarks/bench_obs_overhead.py \
 	    benchmarks/bench_supervisor.py

@@ -1,74 +1,71 @@
-"""Execution backend: parity always, real-core speedup where possible.
+"""Execution backend: real-core move-evaluation speedup where cores exist.
 
-ISSUE 9's contract: the process backend must be **bit-identical** to the
-simulated baseline on every workload (that part is asserted
-unconditionally), and the move-evaluation phase must reach **>= 2x**
-wall-clock speedup at 4 workers vs 1 on the scale-12 RMAT workload —
-*on a host that has >= 4 CPUs*.  Speedup from real parallelism cannot
-exist on fewer cores than workers (4 processes time-slicing 1 CPU can
-only add IPC overhead), so the speedup gate self-disables below 4 CPUs
-while still measuring and reporting the numbers; the committed
-``BENCH_PR9.json`` records ``host_cpu_count`` so the provenance of its
-figures is explicit.
+The process backend's batch move evaluation — one full-graph batch per
+call on scale-12 RMAT, pool warm — must reach **>= 2x** wall-clock
+speedup at 4 workers vs 1, *on a host that has >= 4 CPUs*.  Four
+processes time-slicing fewer cores can only add IPC overhead, so below
+4 CPUs the numbers are measured and printed but the gate is skipped.
 
-Regenerate the snapshot with ``python -m repro.parallel.backend.bench
---out .``.
+Bit-identity with the simulated runtime, fault-free dispatch and
+shared-memory hygiene are gated in
+``tests/parallel/test_process_backend.py``; end-to-end wall time is
+measured by ``perfbench/`` (see perfbench/README.md).
 """
 
 import os
 
+import numpy as np
 import pytest
 
-from repro.bench.harness import ExperimentTable
-from repro.parallel.backend.bench import (
-    GATE_MIN_CPUS,
-    TARGET_SPEEDUP,
-    WORKER_SWEEP,
-    backend_suite,
-)
+from repro.bench.harness import ExperimentTable, time_callable
+from repro.core.state import ClusterState
+from repro.generators.rmat import rmat_graph
+from repro.parallel.backend.process import ProcessBackend
+
+#: Worker counts swept (1 is the IPC-overhead control).
+WORKER_SWEEP = (1, 2, 4)
+TARGET_SPEEDUP = 2.0
+GATE_MIN_CPUS = 4
+RESOLUTION = 0.05
 
 
-def test_backend_parity_and_speedup(benchmark):
-    suite = benchmark.pedantic(
-        backend_suite, kwargs={"repeats": 3}, rounds=1, iterations=1
-    )
-    rows = {row.key: row for row in suite.rows}
+def moveeval_walls(repeats=3, seed=3):
+    """Best wall time of one full-graph batch_moves call per worker count."""
+    graph = rmat_graph(12, 8 * 2**12, seed=seed)
+    batch = np.arange(graph.num_vertices, dtype=np.int64)
+    walls = {}
+    for workers in WORKER_SWEEP:
+        with ProcessBackend(workers=workers, min_dispatch=64) as backend:
+            state = ClusterState.singletons(graph)
+            _, timing = time_callable(
+                lambda: backend.batch_moves(
+                    graph, state, batch, RESOLUTION,
+                    allow_escape=True, swap_avoidance=False,
+                    kernel="vectorized",
+                ),
+                repeats=repeats,
+                warmup=1,
+            )
+        walls[workers] = timing.best
+    return walls
+
+
+def test_backend_moveeval_speedup(benchmark):
+    walls = benchmark.pedantic(moveeval_walls, rounds=1, iterations=1)
 
     table = ExperimentTable(
-        "Execution backend: wall clock vs simulated baseline",
-        ["row", "wall (s)", "move-eval (s)", "speedup", "identical"],
+        "Execution backend: full-graph move eval, scale-12 RMAT",
+        ["workers", "move-eval (s)", "speedup vs 1"],
     )
-    for row in suite.rows:
+    for workers, wall in walls.items():
         table.add_row(
-            row.key,
-            f"{row.metrics['wall_seconds']:.4f}",
-            (
-                f"{row.metrics['moveeval_wall_seconds']:.4f}"
-                if "moveeval_wall_seconds" in row.metrics
-                else "-"
-            ),
-            (
-                f"{row.metrics['moveeval_speedup']:.2f}x"
-                if "moveeval_speedup" in row.metrics
-                else "-"
-            ),
-            row.info.get("identical", "-"),
+            workers, f"{wall:.4f}", f"{walls[WORKER_SWEEP[0]] / wall:.2f}x"
         )
     table.emit()
 
-    # Parity is unconditional: every process row must be bit-identical
-    # to its simulated baseline and must have actually dispatched.
-    for key, row in rows.items():
-        if "-process-" not in key:
-            continue
-        assert row.info["identical"], f"{key}: results diverged from simulated"
-        assert not row.info["faulted"], f"{key}: backend faulted mid-bench"
-        assert row.info["dispatches"] > 0, f"{key}: nothing was dispatched"
-
-    # The speedup gate needs cores to speed up on.
     cpu_count = os.cpu_count() or 1
     top = WORKER_SWEEP[-1]
-    ratio = rows[f"rmat12-process-w{top}"].metrics["moveeval_speedup"]
+    ratio = walls[WORKER_SWEEP[0]] / walls[top]
     if cpu_count < GATE_MIN_CPUS:
         pytest.skip(
             f"host has {cpu_count} CPU(s) < {GATE_MIN_CPUS}: {top}-worker "

@@ -7,10 +7,6 @@ Grappolo-style coloring, and the event-driven asynchrony oracle — report
 end-to-end multilevel objective and simulated time.  Expected shape: the
 relaxed asynchronous engine sits on the quality/speed Pareto front, which
 is the paper's Section 3.2/4.1 thesis.
-
-Rows are collected through :class:`repro.obs.bench.BenchSuite`, the same
-machinery behind the committed ``BENCH_*.json`` baselines, so the script
-shares its timing and row bookkeeping with every other bench.
 """
 
 from repro.bench.datasets import benchmark_surrogate
@@ -18,7 +14,6 @@ from repro.bench.harness import ExperimentTable
 from repro.core.config import ClusteringConfig, Mode
 from repro.core.engines import multilevel_with_engine
 from repro.core.objective import lambdacc_objective
-from repro.obs.bench import BenchSuite, time_callable
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.utils.rng import make_rng
 
@@ -32,64 +27,44 @@ ENGINE_SETUPS = [
 ]
 
 
-def run_engines() -> BenchSuite:
+def run_engines():
     graph = benchmark_surrogate("amazon", seed=0, scale=0.5).graph
-    suite = BenchSuite(
-        "engines_amazon",
-        meta={"workload": "amazon surrogate (seed=0, scale=0.5)"},
-    )
+    rows = []
     for lam in (0.1, 0.85):
         for label, engine, mode in ENGINE_SETUPS:
             config = ClusteringConfig(
                 resolution=lam, mode=mode, refine=False, seed=1, num_workers=60
             )
-
-            def run(lam=lam, engine=engine, config=config):
-                sched = SimulatedScheduler(num_workers=60)
-                assignments, stats = multilevel_with_engine(
-                    graph, lam, config, engine=engine, sched=sched,
-                    rng=make_rng(1),
-                )
-                return assignments, stats, sched
-
-            (assignments, stats, sched), timing = time_callable(run, repeats=1)
-            workers = 1 if engine == "sequential" else 60
-            suite.add_row(
-                f"lambda={lam}/{label}",
-                metrics={
-                    "f_objective": lambdacc_objective(graph, assignments, lam),
-                    "sim_time_seconds": sched.simulated_time(workers),
-                },
-                resolution=lam,
-                engine_label=label,
-                rounds=stats.total_iterations,
-                wall_seconds=timing.best,
+            sched = SimulatedScheduler(num_workers=60)
+            assignments, stats = multilevel_with_engine(
+                graph, lam, config, engine=engine, sched=sched,
+                rng=make_rng(1),
             )
-    return suite
+            workers = 1 if engine == "sequential" else 60
+            rows.append(
+                (
+                    lam,
+                    label,
+                    lambdacc_objective(graph, assignments, lam),
+                    sched.simulated_time(workers),
+                    stats.total_iterations,
+                )
+            )
+    return rows
 
 
 def test_engine_comparison(benchmark):
-    suite = benchmark.pedantic(run_engines, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_engines, rounds=1, iterations=1)
 
     table = ExperimentTable(
         "Engine comparison (amazon surrogate, multilevel, no refinement)",
         ["lambda", "engine", "objective F", "sim_time", "rounds"],
     )
-    for row in suite.rows:
-        table.add_row(
-            row.info["resolution"],
-            row.info["engine_label"],
-            row.metrics["f_objective"],
-            row.metrics["sim_time_seconds"],
-            row.info["rounds"],
-        )
+    for row in rows:
+        table.add_row(*row)
     table.emit()
 
-    by = {
-        (row.info["resolution"], row.info["engine_label"]):
-            (row.metrics["f_objective"], row.metrics["sim_time_seconds"])
-        for row in suite.rows
-    }
+    by = {(lam, label): (f, t) for lam, label, f, t, _ in rows}
     for lam in (0.1, 0.85):
         async_f, async_t = by[(lam, "async (paper)")]
         # The paper's engine is never dominated: every alternative is

@@ -7,12 +7,11 @@ for PAR-MOD — while keeping 0.95-1.08x of the sequential objective.
 
 from repro.bench.harness import ExperimentTable
 from repro.bench.studies import lookup, select, speedup_study
-from repro.obs.bench import BenchSuite
 
 
-def speedup_suite(records) -> BenchSuite:
-    """Shape the study's records into the shared bench-suite format."""
-    suite = BenchSuite("fig4_speedup", meta={"figure": 4, "workers": 60})
+def speedup_rows(records):
+    """(graph, objective kind, resolution, speedup, quality) per PAR run."""
+    rows = []
     for kind in ("cc", "mod"):
         for par in select(records, objective_kind=kind, variant="par"):
             seq = lookup(
@@ -29,19 +28,12 @@ def speedup_suite(records) -> BenchSuite:
                     else 1.0
                 )
             )
-            suite.add_row(
-                f"{par.graph}/{kind}/lambda={par.resolution}",
-                metrics={"speedup": ratio, "quality": quality},
-                graph=par.graph,
-                objective_kind=kind,
-                resolution=par.resolution,
-            )
-    return suite
+            rows.append((par.graph, kind, par.resolution, ratio, quality))
+    return rows
 
 
 def test_fig4_parallel_speedup(benchmark):
     records = benchmark.pedantic(speedup_study, rounds=1, iterations=1)
-    suite = speedup_suite(records)
 
     all_speedups = {"cc": [], "mod": []}
     objective_ratios = []
@@ -49,16 +41,11 @@ def test_fig4_parallel_speedup(benchmark):
         "Figure 4: speedup of PAR over SEQ (simulated, 60 workers)",
         ["graph", "objective", "resolution", "speedup", "obj PAR/SEQ"],
     )
-    for row in suite.rows:
-        table.add_row(
-            row.info["graph"],
-            row.info["objective_kind"],
-            row.info["resolution"],
-            row.metrics["speedup"],
-            row.metrics["quality"],
-        )
-        all_speedups[row.info["objective_kind"]].append(row.metrics["speedup"])
-        objective_ratios.append(row.metrics["quality"])
+    for row in speedup_rows(records):
+        table.add_row(*row)
+        _, kind, _, ratio, quality = row
+        all_speedups[kind].append(ratio)
+        objective_ratios.append(quality)
     table.emit()
 
     # Shape: consistent multi-x speedups in the paper's band, with

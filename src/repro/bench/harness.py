@@ -3,7 +3,8 @@
 Benches print the same *rows/series* the paper's figures plot (per
 DESIGN.md §4); :class:`ExperimentTable` renders them alignment-stable for
 ``bench_output.txt``.  Simulated speedups come from the cost ledgers;
-wall-clock is reported separately by pytest-benchmark.
+wall-clock comes from :func:`time_callable` (warmup + best-of-repeats).
+End-to-end wall-time trajectories live in ``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import math
 import os
 import sys
-from typing import Callable, Iterable, List, Sequence
+import time
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 
 #: Optional context-manager factory installed by benchmarks/conftest.py
@@ -55,16 +58,66 @@ def bench_repeats(default: int = 3) -> int:
     """Number of seeds to average stochastic measurements over.
 
     The paper averages 10 runs; benches default to 3 for turnaround and
-    honour ``REPRO_BENCH_REPEATS``.
+    honour ``REPRO_BENCH_REPEATS``; values below 1 raise ``ValueError``.
     """
-    return int(os.environ.get("REPRO_BENCH_REPEATS", str(default)))
+    return _checked_repeats(
+        int(os.environ.get("REPRO_BENCH_REPEATS", str(default)))
+    )
+
+
+def _checked_repeats(repeats: Optional[int]) -> int:
+    reps = bench_repeats() if repeats is None else repeats
+    if reps < 1:
+        raise ValueError(f"repeats must be >= 1, got {reps}")
+    return reps
 
 
 def averaged(fn: Callable[[int], float], repeats: int | None = None) -> float:
     """Mean of ``fn(seed)`` over ``repeats`` seeds."""
-    reps = repeats if repeats is not None else bench_repeats()
+    reps = _checked_repeats(repeats)
     values = [fn(seed) for seed in range(reps)]
     return sum(values) / len(values)
+
+
+@dataclass
+class TimingStats:
+    """Wall-clock samples from :func:`time_callable`."""
+
+    runs: List[float]
+
+    @property
+    def best(self) -> float:
+        return min(self.runs)
+
+    @property
+    def mean(self) -> float:
+        return sum(self.runs) / len(self.runs)
+
+    @property
+    def repeats(self) -> int:
+        return len(self.runs)
+
+
+def time_callable(
+    fn: Callable[[], object],
+    repeats: Optional[int] = None,
+    warmup: int = 0,
+) -> Tuple[object, TimingStats]:
+    """Run ``fn`` ``warmup + repeats`` times; keep per-repeat wall times.
+
+    Returns ``(last_result, stats)`` — the *best* (minimum) time is the
+    standard low-noise estimator benches should report.
+    """
+    reps = _checked_repeats(repeats)
+    result = None
+    for _ in range(warmup):
+        fn()
+    runs: List[float] = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        result = fn()
+        runs.append(time.perf_counter() - start)
+    return result, TimingStats(runs=runs)
 
 
 def speedup(baseline_seconds: float, subject_seconds: float) -> float:

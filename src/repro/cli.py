@@ -1038,6 +1038,22 @@ def _cmd_obs_timeline(args) -> int:
     return 0
 
 
+def _cmd_obs_validate_trace(args) -> int:
+    from repro.obs.schema import TraceSchemaError, validate_trace_file
+
+    try:
+        validate_trace_file(args.trace)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TraceSchemaError as exc:
+        for problem in exc.problems:
+            print(f"invalid: {problem}", file=sys.stderr)
+        return 1
+    print(f"{args.trace}: valid trace")
+    return 0
+
+
 def _cmd_obs_report(args) -> int:
     from repro.obs.registry import RunRegistryError, load_runs
 
@@ -1557,7 +1573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_doctor)
 
     p = sub.add_parser(
-        "obs", help="observability: timelines and the runs registry"
+        "obs", help="observability: traces, timelines and the runs registry"
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
@@ -1569,6 +1585,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", metavar="FILE",
                    help="output path (default: <trace>.chrome.json)")
     q.set_defaults(func=_cmd_obs_timeline)
+
+    q = obs_sub.add_parser(
+        "validate-trace",
+        help="schema-check a trace JSONL; exit 1 when invalid",
+    )
+    q.add_argument("trace", help="trace JSONL file to validate")
+    q.set_defaults(func=_cmd_obs_validate_trace)
 
     q = obs_sub.add_parser(
         "report",

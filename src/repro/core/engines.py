@@ -15,8 +15,9 @@ Five engines implement the same contract
   (:mod:`repro.core.louvain_seq`).
 
 :func:`multilevel_with_engine` runs the full multilevel pipeline with any
-of them, which is how the engine-comparison bench produces one table over
-all scheduling disciplines.
+of them, which is how ``benchmarks/bench_engines.py`` produces one table
+over all scheduling disciplines and ``tests/core/test_engine_baselines.py``
+pins each engine's objective and simulated time.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def run_engine_restricted(
     the engine's own frontier maintenance).  ``frontier=None`` falls back
     to the engine default (all vertices), which is exactly a full
     single-level recompute from the current partition — the comparison
-    baseline the dynamic bench uses.
+    baseline of ``tests/dynamic/test_churn_gate.py``.
 
     Returns the engine's :class:`~repro.core.best_moves.BestMovesStats`.
     """

@@ -1,4 +1,4 @@
-"""Observability subsystem: tracing, metrics, and bench baselines.
+"""Observability subsystem: tracing, metrics, and run diagnostics.
 
 Public surface (DESIGN.md §7):
 
@@ -12,9 +12,12 @@ Public surface (DESIGN.md §7):
   :mod:`repro.obs.report` — the run doctor (DESIGN.md §12): declarative
   health rules + serving SLOs over the artifacts above, and the
   self-contained HTML report;
-* :mod:`repro.obs.bench` — the unified bench harness with committed
-  ``BENCH_*.json`` baselines and regression compare (imported explicitly,
-  not re-exported here, because it reaches back into the core package).
+* :mod:`repro.obs.bench` — the direction-aware regression compare behind
+  ``repro obs diff`` and the health-rule trends.
+
+Wall-clock benchmarking is not part of this package: fixed workloads
+are timed end to end and per layer by ``perfbench/`` (see
+perfbench/README.md).
 """
 
 from repro.obs.instrument import (

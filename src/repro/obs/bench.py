@@ -1,42 +1,25 @@
-"""Unified bench harness: timing, repeats, baselines, regression compare.
+"""Regression compare: metric directions and baseline-vs-current reports.
 
-The ``benchmarks/bench_*.py`` scripts used to hand-roll the same loop —
-warm up, repeat, keep the best wall time, build rows, print a table.
-This module centralizes that machinery and adds the missing half:
-machine-readable ``BENCH_<name>.json`` baselines plus a ``compare`` mode
-that flags >10% regressions mechanically.
+Shared by ``repro obs diff`` (:func:`repro.obs.registry.diff_runs`) and
+the trend rules in :mod:`repro.obs.health`:
 
-* :func:`time_callable` — warmup + repeat timing, honouring
-  ``REPRO_BENCH_REPEATS`` like the table harness does;
-* :class:`BenchSuite` — named rows of ``{metric: value}`` written to
-  ``BENCH_<name>.json`` (schema ``repro.obs.bench/v1``);
-* :func:`compare` — baseline-vs-current report; metric *direction*
-  (lower-better for times/bytes, higher-better for objectives/speedups,
-  informational otherwise) comes from :func:`metric_direction` and is
-  recorded in the baseline so old files stay comparable;
-* ``python -m repro.obs.bench`` — ``compare``, ``emit`` (regenerate the
-  committed baselines from a deterministic RMAT graph), and
-  ``validate-trace`` (the CI smoke gate) subcommands.
+* :func:`metric_direction` — lower-better for times/bytes, higher-better
+  for objectives/speedups, informational otherwise;
+* :func:`compare` — flags every directed metric that worsened beyond a
+  relative tolerance, as a :class:`CompareReport`.
+
+Payloads are ``{"name", "directions", "rows": [{"key", "metrics"}]}``
+dicts.  Wall-time benchmarking lives in ``perfbench/`` and
+:mod:`repro.bench.harness`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
-
-BASELINE_SCHEMA = "repro.obs.bench/v1"
+from typing import List
 
 #: Default regression tolerance: flag changes worse than 10%.
 DEFAULT_TOLERANCE = 0.10
-
-#: Default directory for committed baselines, relative to the repo root.
-DEFAULT_BASELINE_DIR = "benchmarks/baselines"
 
 _LOWER_SUFFIXES = (
     "_seconds",
@@ -58,138 +41,6 @@ def metric_direction(name: str) -> str:
     return "info"
 
 
-# ---------------------------------------------------------------------------
-# timing
-# ---------------------------------------------------------------------------
-@dataclass
-class TimingStats:
-    """Wall-clock samples from :func:`time_callable`."""
-
-    runs: List[float]
-
-    @property
-    def best(self) -> float:
-        return min(self.runs)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.runs) / len(self.runs)
-
-    @property
-    def repeats(self) -> int:
-        return len(self.runs)
-
-
-def bench_repeats(default: int = 3) -> int:
-    """Repeat count, shared with the table harness's env convention."""
-    from repro.bench.harness import bench_repeats as _repeats
-
-    return _repeats(default)
-
-
-def time_callable(
-    fn: Callable[[], object],
-    repeats: Optional[int] = None,
-    warmup: int = 0,
-) -> Tuple[object, TimingStats]:
-    """Run ``fn`` ``warmup + repeats`` times; keep per-repeat wall times.
-
-    Returns ``(last_result, stats)`` — the *best* (minimum) time is the
-    standard low-noise estimator benches should report.
-    """
-    reps = repeats if repeats is not None else bench_repeats()
-    if reps < 1:
-        raise ValueError(f"repeats must be >= 1, got {reps}")
-    result = None
-    for _ in range(warmup):
-        fn()
-    runs: List[float] = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        result = fn()
-        runs.append(time.perf_counter() - start)
-    return result, TimingStats(runs=runs)
-
-
-# ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-@dataclass
-class BenchRow:
-    """One keyed measurement: comparable metrics plus free-form info."""
-
-    key: str
-    metrics: Dict[str, float]
-    info: dict = field(default_factory=dict)
-
-
-class BenchSuite:
-    """Collects rows for one bench and writes ``BENCH_<name>.json``."""
-
-    def __init__(self, name: str, meta: Optional[dict] = None) -> None:
-        if not name or "/" in name:
-            raise ValueError(f"invalid suite name {name!r}")
-        self.name = name
-        self.meta = dict(meta or {})
-        self.rows: List[BenchRow] = []
-
-    def add_row(self, key: str, metrics: Dict[str, float], **info) -> BenchRow:
-        if any(r.key == key for r in self.rows):
-            raise ValueError(f"duplicate row key {key!r} in suite {self.name}")
-        row = BenchRow(
-            key=key,
-            metrics={k: float(v) for k, v in metrics.items()},
-            info=info,
-        )
-        self.rows.append(row)
-        return row
-
-    def payload(self) -> dict:
-        meta = dict(self.meta)
-        meta.setdefault("python", platform.python_version())
-        return {
-            "schema": BASELINE_SCHEMA,
-            "name": self.name,
-            "meta": meta,
-            "directions": {
-                metric: metric_direction(metric)
-                for row in self.rows
-                for metric in row.metrics
-            },
-            "rows": [
-                {"key": r.key, "metrics": r.metrics, "info": r.info}
-                for r in self.rows
-            ],
-        }
-
-    def write(self, directory) -> Path:
-        """Write ``BENCH_<name>.json`` under ``directory``; returns the path."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"BENCH_{self.name}.json"
-        with open(path, "w") as handle:
-            json.dump(self.payload(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
-
-
-def load_baseline(path) -> dict:
-    """Load and shape-check one ``BENCH_*.json`` payload."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported baseline schema {payload.get('schema')!r}"
-        )
-    for required in ("name", "rows"):
-        if required not in payload:
-            raise ValueError(f"{path}: baseline missing {required!r}")
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# regression compare
-# ---------------------------------------------------------------------------
 @dataclass
 class Regression:
     """One metric that got worse than the tolerance allows."""
@@ -294,448 +145,3 @@ def compare(
                     f"({-worsening:+.1%} better)"
                 )
     return report
-
-
-def compare_files(
-    baseline_path, current_path, tolerance: float = DEFAULT_TOLERANCE
-) -> CompareReport:
-    return compare(
-        load_baseline(baseline_path), load_baseline(current_path), tolerance
-    )
-
-
-# ---------------------------------------------------------------------------
-# committed-baseline emission (deterministic small-RMAT workloads)
-# ---------------------------------------------------------------------------
-#: RMAT generator parameters for the baseline workload: small enough to
-#: regenerate in seconds, structured enough that every engine does real
-#: multilevel work.
-BASELINE_RMAT = {"scale": 8, "edge_factor": 8, "seed": 0}
-BASELINE_RESOLUTION = 0.05
-BASELINE_SEED = 1
-
-
-def _baseline_graph():
-    from repro.generators.rmat import rmat_graph
-
-    spec = BASELINE_RMAT
-    return rmat_graph(
-        spec["scale"],
-        spec["edge_factor"] * 2 ** spec["scale"],
-        seed=spec["seed"],
-    )
-
-
-def engines_suite(repeats: int = 3) -> BenchSuite:
-    """Every registry engine on the deterministic RMAT graph, one row each.
-
-    The comparable metrics (simulated time, objective) are deterministic
-    functions of the seed, so the committed baseline is machine-stable;
-    wall seconds ride along as information only.
-    """
-    from repro.core.config import ClusteringConfig
-    from repro.core.engines import ENGINES, multilevel_with_engine
-    from repro.core.objective import lambdacc_objective
-    from repro.parallel.scheduler import SimulatedScheduler
-    from repro.utils.rng import make_rng
-
-    graph = _baseline_graph()
-    suite = BenchSuite(
-        "engines",
-        meta={
-            "workload": dict(BASELINE_RMAT),
-            "resolution": BASELINE_RESOLUTION,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
-        },
-    )
-    for engine in sorted(ENGINES):
-        workers = 1 if engine == "sequential" else 60
-        config = ClusteringConfig(
-            resolution=BASELINE_RESOLUTION,
-            refine=False,
-            seed=BASELINE_SEED,
-            num_workers=workers,
-        )
-
-        def run(engine=engine, config=config):
-            sched = SimulatedScheduler(num_workers=config.num_workers)
-            assignments, stats = multilevel_with_engine(
-                graph,
-                BASELINE_RESOLUTION,
-                config,
-                engine=engine,
-                sched=sched,
-                rng=make_rng(BASELINE_SEED),
-            )
-            return assignments, stats, sched
-
-        (assignments, stats, sched), timing = time_callable(
-            run, repeats=repeats, warmup=1
-        )
-        suite.add_row(
-            engine,
-            metrics={
-                "f_objective": lambdacc_objective(
-                    graph, assignments, BASELINE_RESOLUTION
-                ),
-                "sim_time_seconds": sched.simulated_time(workers),
-            },
-            rounds=stats.total_iterations,
-            moves=stats.total_moves,
-            levels=stats.num_levels,
-            wall_seconds=timing.best,
-        )
-    return suite
-
-
-def overhead_suite(repeats: int = 5) -> BenchSuite:
-    """Instrumentation overhead on a planted-partition workload.
-
-    Three configurations — no instrumentation, constructed-but-disabled,
-    and fully enabled — with the disabled/enabled wall-clock slowdown
-    ratios as the comparable metrics.  The ISSUE 2 contract is the
-    *disabled* row: <3% slowdown.
-    """
-    import numpy as np
-
-    from repro.core.api import cluster
-    from repro.core.config import ClusteringConfig
-    from repro.generators.planted import planted_partition_graph
-    from repro.obs.instrument import Instrumentation
-
-    graph = planted_partition_graph(
-        num_vertices=2000, intra_degree=8.0, inter_degree=1.0, seed=0
-    ).graph
-    config = ClusteringConfig(resolution=BASELINE_RESOLUTION, seed=7)
-
-    def run(instrumentation_factory):
-        from repro.core.options import RunOptions
-
-        return cluster(
-            graph, config,
-            RunOptions(instrumentation=instrumentation_factory()),
-        )
-
-    base_result, base_timing = time_callable(
-        lambda: run(lambda: None), repeats=repeats, warmup=1
-    )
-    disabled_result, disabled_timing = time_callable(
-        lambda: run(lambda: Instrumentation(enabled=False)),
-        repeats=repeats,
-        warmup=1,
-    )
-    enabled_result, enabled_timing = time_callable(
-        lambda: run(lambda: Instrumentation()), repeats=repeats, warmup=1
-    )
-
-    suite = BenchSuite(
-        "overhead",
-        meta={
-            "workload": "planted(n=2000, intra=8, inter=1, seed=0)",
-            "resolution": BASELINE_RESOLUTION,
-            "repeats": repeats,
-        },
-    )
-    suite.add_row(
-        "baseline",
-        metrics={"sim_time_seconds": base_result.sim_time()},
-        wall_seconds=base_timing.best,
-    )
-    for key, timing, result in (
-        ("disabled", disabled_timing, disabled_result),
-        ("enabled", enabled_timing, enabled_result),
-    ):
-        suite.add_row(
-            key,
-            metrics={"slowdown": timing.best / base_timing.best},
-            wall_seconds=timing.best,
-            identical=bool(
-                np.array_equal(result.assignments, base_result.assignments)
-            ),
-            sim_identical=bool(result.sim_time() == base_result.sim_time()),
-        )
-    return suite
-
-
-def snapshot_suite(repeats: int = 3) -> BenchSuite:
-    """The PR3 telemetry snapshot: quality metrics plus telemetry coverage.
-
-    One fully-instrumented relaxed-engine run on the deterministic RMAT
-    workload.  The comparable metrics are the usual simulated time and
-    objective; the *info* fields record how much telemetry the run
-    produced (worker chunks and lanes, CAS attempts, dedup hits, probe
-    samples) so a refactor that silently stops emitting any of it shows
-    up as a diff in the committed ``BENCH_PR3.json``.
-    """
-    from repro.core.api import cluster
-    from repro.core.config import ClusteringConfig
-    from repro.obs.instrument import (
-        M_CAS_ATTEMPTS,
-        M_DEDUP_HITS,
-        M_HASH_PROBES,
-        Instrumentation,
-    )
-
-    graph = _baseline_graph()
-    config = ClusteringConfig(
-        resolution=BASELINE_RESOLUTION, refine=False, seed=BASELINE_SEED
-    )
-
-    def run():
-        instr = Instrumentation()
-        from repro.core.options import RunOptions
-
-        return cluster(graph, config, RunOptions(instrumentation=instr)), instr
-
-    (result, instr), timing = time_callable(run, repeats=repeats, warmup=1)
-    workers = instr.tracer.worker_records()
-    probes = instr.metrics.get(M_HASH_PROBES)
-    cas = instr.metrics.get(M_CAS_ATTEMPTS)
-    dedup = instr.metrics.get(M_DEDUP_HITS)
-    suite = BenchSuite(
-        "PR3",
-        meta={
-            "workload": dict(BASELINE_RMAT),
-            "resolution": BASELINE_RESOLUTION,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
-        },
-    )
-    suite.add_row(
-        "relaxed-instrumented",
-        metrics={
-            "f_objective": result.f_objective,
-            "sim_time_seconds": result.sim_time(),
-        },
-        wall_seconds=timing.best,
-        rounds=result.rounds,
-        worker_chunks=len(workers),
-        worker_lanes=len({w["worker"] for w in workers}),
-        cas_attempts=int(cas.total()) if cas else 0,
-        dedup_hits=int(dedup.total()) if dedup else 0,
-        probe_samples=probes.total_count() if probes else 0,
-    )
-    return suite
-
-
-def kernels_suite(repeats: int = 3) -> BenchSuite:
-    """The PR4 kernel snapshot: vectorized-vs-reference speedups + parity.
-
-    Three kinds of rows:
-
-    * ``kernel-eval-*`` — a microbenchmark of the kernel layer alone:
-      one full-frontier ``batch_moves`` call on a singleton state, timed
-      for both kernels.  ``kernel_speedup`` (higher-better) is the
-      headline acceptance metric; ``identical`` records bit-equality of
-      the returned targets and gains.
-    * ``<engine>-scale8-<kernel>`` — end-to-end engine runs whose
-      comparable metrics (``f_objective``, ``sim_time_seconds``) must
-      match *exactly* across kernels — the cost model never sees which
-      kernel evaluated the moves (DESIGN.md §8).
-    * ``relaxed-scale12-vectorized`` — a larger run riding along as
-      wall-clock evidence that the default kernel scales.
-    """
-    import numpy as np
-
-    from repro.core.config import ClusteringConfig
-    from repro.core.engines import multilevel_with_engine
-    from repro.core.objective import lambdacc_objective
-    from repro.core.state import ClusterState
-    from repro.generators.rmat import rmat_graph
-    from repro.kernels.reference import reference_batch_moves
-    from repro.kernels.vectorized import vectorized_batch_moves
-    from repro.parallel.scheduler import SimulatedScheduler
-    from repro.utils.rng import make_rng
-
-    suite = BenchSuite(
-        "PR4",
-        meta={
-            "workload": dict(BASELINE_RMAT),
-            "resolution": BASELINE_RESOLUTION,
-            "repeats": repeats,
-        },
-    )
-
-    # --- kernel-eval microbenchmark: the layer the PR vectorizes -------
-    for scale in (BASELINE_RMAT["scale"], 12):
-        graph = rmat_graph(
-            scale, BASELINE_RMAT["edge_factor"] * 2**scale,
-            seed=BASELINE_RMAT["seed"],
-        )
-        batch = np.arange(graph.num_vertices, dtype=np.int64)
-
-        def eval_with(kernel_fn, graph=graph, batch=batch):
-            state = ClusterState.singletons(graph)
-            return kernel_fn(graph, state, batch, BASELINE_RESOLUTION)
-
-        (ref_targets, ref_gains), ref_timing = time_callable(
-            lambda: eval_with(reference_batch_moves),
-            repeats=max(repeats, 5), warmup=1,
-        )
-        (vec_targets, vec_gains), vec_timing = time_callable(
-            lambda: eval_with(vectorized_batch_moves),
-            repeats=max(repeats, 5), warmup=1,
-        )
-        suite.add_row(
-            f"kernel-eval-scale{scale}",
-            metrics={"kernel_speedup": ref_timing.best / vec_timing.best},
-            vertices=graph.num_vertices,
-            edges=graph.num_edges,
-            reference_seconds=ref_timing.best,
-            vectorized_seconds=vec_timing.best,
-            identical=bool(
-                np.array_equal(ref_targets, vec_targets)
-                and np.array_equal(ref_gains, vec_gains)
-            ),
-        )
-
-    # --- end-to-end engine parity rows ---------------------------------
-    def engine_run(graph, engine, kernel, workers):
-        config = ClusteringConfig(
-            resolution=BASELINE_RESOLUTION,
-            refine=False,
-            seed=BASELINE_SEED,
-            num_workers=workers,
-            kernel=kernel,
-        )
-        sched = SimulatedScheduler(num_workers=workers)
-        assignments, stats = multilevel_with_engine(
-            graph,
-            BASELINE_RESOLUTION,
-            config,
-            engine=engine,
-            sched=sched,
-            rng=make_rng(BASELINE_SEED),
-        )
-        return assignments, sched.simulated_time(workers)
-
-    graph8 = _baseline_graph()
-    for engine in ("relaxed", "prefix"):
-        reference_assignments = None
-        for kernel in ("reference", "vectorized"):
-            (assignments, sim_time), timing = time_callable(
-                lambda: engine_run(graph8, engine, kernel, workers=60),
-                repeats=repeats, warmup=1,
-            )
-            row = {
-                "metrics": {
-                    "f_objective": lambdacc_objective(
-                        graph8, assignments, BASELINE_RESOLUTION
-                    ),
-                    "sim_time_seconds": sim_time,
-                },
-                "wall_seconds": timing.best,
-            }
-            if kernel == "reference":
-                reference_assignments = assignments
-            else:
-                row["identical"] = bool(
-                    np.array_equal(assignments, reference_assignments)
-                )
-            suite.add_row(f"{engine}-scale8-{kernel}", **row)
-
-    # --- scale-12 default-kernel run (acceptance: well under 60 s) -----
-    graph12 = rmat_graph(
-        12, BASELINE_RMAT["edge_factor"] * 2**12, seed=BASELINE_RMAT["seed"]
-    )
-    (assignments, sim_time), timing = time_callable(
-        lambda: engine_run(graph12, "relaxed", "vectorized", workers=60),
-        repeats=repeats, warmup=1,
-    )
-    suite.add_row(
-        "relaxed-scale12-vectorized",
-        metrics={
-            "f_objective": lambdacc_objective(
-                graph12, assignments, BASELINE_RESOLUTION
-            ),
-            "sim_time_seconds": sim_time,
-        },
-        wall_seconds=timing.best,
-        vertices=graph12.num_vertices,
-        edges=graph12.num_edges,
-    )
-    return suite
-
-
-def emit_baselines(out_dir=DEFAULT_BASELINE_DIR, repeats: int = 3) -> List[Path]:
-    """Regenerate the committed ``BENCH_engines.json`` / ``BENCH_overhead.json``."""
-    paths = [
-        engines_suite(repeats=repeats).write(out_dir),
-        overhead_suite(repeats=max(repeats, 5)).write(out_dir),
-    ]
-    return paths
-
-
-# ---------------------------------------------------------------------------
-# CLI: python -m repro.obs.bench <compare|emit|validate-trace>
-# ---------------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.bench",
-        description="bench baselines: emit, compare, and trace validation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compare", help="flag regressions between two baselines")
-    p.add_argument("baseline", help="BENCH_*.json to compare against")
-    p.add_argument("current", help="BENCH_*.json from the current run")
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="relative worsening that counts as a regression (default 0.10)",
-    )
-
-    p = sub.add_parser("emit", help="regenerate the committed baselines")
-    p.add_argument("--out", default=DEFAULT_BASELINE_DIR, metavar="DIR")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument(
-        "--snapshot",
-        action="store_true",
-        help="also write the repo-root BENCH_PR3.json / BENCH_PR4.json "
-             "snapshots",
-    )
-    p.add_argument(
-        "--snapshot-only",
-        action="store_true",
-        help="write only the PR snapshots (skip the baseline suites)",
-    )
-    p.add_argument("--snapshot-dir", default=".", metavar="DIR")
-
-    p = sub.add_parser("validate-trace", help="schema-check a trace JSONL file")
-    p.add_argument("trace", help="trace JSONL file to validate")
-
-    args = parser.parse_args(argv)
-    if args.command == "compare":
-        report = compare_files(args.baseline, args.current, args.tolerance)
-        print(report.describe())
-        return 0 if report.ok else 1
-    if args.command == "emit":
-        if not args.snapshot_only:
-            for path in emit_baselines(args.out, repeats=args.repeats):
-                print(f"wrote {path}")
-        if args.snapshot or args.snapshot_only:
-            for suite in (
-                snapshot_suite(repeats=args.repeats),
-                kernels_suite(repeats=args.repeats),
-            ):
-                path = suite.write(args.snapshot_dir)
-                print(f"wrote {path}")
-        return 0
-    if args.command == "validate-trace":
-        from repro.obs.schema import TraceSchemaError, validate_trace_file
-
-        try:
-            validate_trace_file(args.trace)
-        except TraceSchemaError as exc:
-            for problem in exc.problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 1
-        print(f"{args.trace}: valid trace")
-        return 0
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

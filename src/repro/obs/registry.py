@@ -2,15 +2,15 @@
 
 An append-only JSONL file of run records — one line per registered
 clustering run — so regressions are caught *across* invocations, not just
-within one bench process.  Each record carries the same comparable
-metrics the bench baselines use (wall seconds, simulated seconds, the F
-objective, modularity) plus enough workload identity (graph, engine,
-resolution, seed, workers) to know when two runs are comparable at all.
+within one process.  Each record carries the comparable metrics (wall
+seconds, simulated seconds, the F objective, modularity) plus enough
+workload identity (graph, engine, resolution, seed, workers) to know
+when two runs are comparable at all.
 
-:func:`diff_runs` reuses the bench harness's :func:`repro.obs.bench.
-compare` gate, run twice with different tolerances: timing metrics at the
-standard 10% and quality metrics at 0.1% — a wall-clock wobble is noise,
-an objective drop is a bug.
+:func:`diff_runs` reuses the :func:`repro.obs.bench.compare` gate, run
+twice with different tolerances: timing metrics at the standard 10% and
+quality metrics at 0.1% — a wall-clock wobble is noise, an objective
+drop is a bug.
 
 The CLI surface is ``repro cluster --register runs.jsonl [--run-id ID]``
 to append and ``repro obs report`` / ``repro obs diff`` to read back.
@@ -222,11 +222,8 @@ def find_run(records: List[dict], run_id: str) -> dict:
 
 
 def _as_baseline(record: dict, metrics: tuple, direction: str) -> dict:
-    """Shape one run record as a single-row bench baseline payload."""
-    from repro.obs.bench import BASELINE_SCHEMA
-
+    """Shape one run record as a single-row compare payload."""
     return {
-        "schema": BASELINE_SCHEMA,
         "name": "runs",
         "directions": {name: direction for name in metrics},
         "rows": [

@@ -6,8 +6,8 @@ parent/span references resolve, and the span tree nests consistently
 (children start within their parent's interval and carry ``depth`` one
 greater).  :func:`validate_trace_records` returns a list of human-readable
 problems — empty means valid — and :func:`validate_trace_file` raises
-:class:`TraceSchemaError` so ``python -m repro.obs.bench validate-trace``
-can gate CI on it.
+:class:`TraceSchemaError` so ``repro obs validate-trace`` can gate CI on
+it.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ Layers, bottom up:
 * :mod:`repro.serving.drivers` — the deterministic simulated-clock
   driver and the real-thread driver;
 * :mod:`repro.serving.workload` — seeded mixed read/write workload
-  generation (open/closed-loop arrivals);
-* :mod:`repro.serving.bench` — the PR10 gateway-vs-serial bench.
+  generation (open/closed-loop arrivals).
+
+Wall-clock serving latency under open-loop load is measured by the
+``serve-open`` workload of ``perfbench/`` (see perfbench/README.md).
 """
 
 from repro.serving.drivers import DriverResult, SimulatedDriver, ThreadedDriver

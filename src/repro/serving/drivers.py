@@ -9,7 +9,8 @@ time-free; drivers own the clock and the interleaving:
   policy → same interleaving → same responses, shed set, and committed
   batch sequence.  ``serial_baseline=True`` degrades it to the old
   ``ClusterServer`` discipline (one lane, reads queue behind commits) —
-  the contrast the serving bench measures.
+  the virtual-clock contrast ``tests/serving/test_read_throughput.py``
+  gates.
 * :class:`ThreadedDriver` — real client threads submitting against the
   wall clock with a single commit thread as the sole clusterer mutator.
   Snapshot isolation makes reads lock-free (one atomic epoch-reference

@@ -10,6 +10,7 @@ from repro.bench.harness import (
     geometric_mean,
     series_summary,
     speedup,
+    time_callable,
 )
 
 
@@ -25,6 +26,15 @@ class TestEnvKnobs:
     def test_repeats_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_REPEATS", "7")
         assert bench_repeats() == 7
+
+    def test_repeats_below_one_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_REPEATS", "0")
+        with pytest.raises(ValueError, match="repeats"):
+            bench_repeats()
+        with pytest.raises(ValueError, match="repeats"):
+            averaged(lambda seed: 1.0)
+        with pytest.raises(ValueError, match="repeats"):
+            time_callable(lambda: None)
 
 
 class TestAveraged:

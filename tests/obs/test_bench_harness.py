@@ -1,19 +1,10 @@
-"""Bench harness: timing, suite files, and the regression compare gate."""
-
-import json
+"""Bench harness: timing, the regression compare gate, trace validation."""
 
 import pytest
 
-from repro.obs.bench import (
-    BASELINE_SCHEMA,
-    BenchSuite,
-    compare,
-    compare_files,
-    load_baseline,
-    main,
-    metric_direction,
-    time_callable,
-)
+from repro.bench.harness import time_callable
+from repro.cli import main
+from repro.obs.bench import compare, metric_direction
 
 
 def test_metric_direction_heuristics():
@@ -46,44 +37,18 @@ def test_time_callable_honours_env(monkeypatch):
     assert timing.repeats == 2
 
 
-def _suite(sim: float, objective: float) -> BenchSuite:
-    suite = BenchSuite("demo", meta={"workload": "unit-test"})
-    suite.add_row(
-        "relaxed",
-        metrics={"sim_time_seconds": sim, "f_objective": objective},
-        rounds=7,
-    )
-    return suite
+def _payload(metrics: dict) -> dict:
+    return {"name": "demo", "rows": [{"key": "relaxed", "metrics": metrics}]}
 
 
-def test_suite_rejects_duplicate_keys_and_bad_names():
-    suite = _suite(1.0, 10.0)
-    with pytest.raises(ValueError, match="duplicate row key"):
-        suite.add_row("relaxed", metrics={"sim_time_seconds": 2.0})
-    with pytest.raises(ValueError, match="invalid suite name"):
-        BenchSuite("has/slash")
-
-
-def test_suite_write_and_load_round_trip(tmp_path):
-    path = _suite(1.0, 10.0).write(tmp_path)
-    assert path.name == "BENCH_demo.json"
-    payload = load_baseline(path)
-    assert payload["schema"] == BASELINE_SCHEMA
-    assert payload["directions"]["sim_time_seconds"] == "lower"
-    assert payload["rows"][0]["info"]["rounds"] == 7
-
-
-def test_load_baseline_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "BENCH_bad.json"
-    path.write_text(json.dumps({"schema": "other/v9", "name": "x", "rows": []}))
-    with pytest.raises(ValueError, match="unsupported baseline schema"):
-        load_baseline(path)
+def _suite(sim: float, objective: float) -> dict:
+    return _payload({"sim_time_seconds": sim, "f_objective": objective})
 
 
 def test_compare_flags_regressions_beyond_tolerance():
-    baseline = _suite(1.0, 10.0).payload()
+    baseline = _suite(1.0, 10.0)
     # 50% slower and 50% worse objective: both directions regress.
-    current = _suite(1.5, 5.0).payload()
+    current = _suite(1.5, 5.0)
     report = compare(baseline, current, tolerance=0.10)
     assert not report.ok
     flagged = {(r.metric, round(r.change, 2)) for r in report.regressions}
@@ -93,58 +58,29 @@ def test_compare_flags_regressions_beyond_tolerance():
 
 
 def test_compare_within_tolerance_and_improvements_pass():
-    baseline = _suite(1.0, 10.0).payload()
-    within = compare(baseline, _suite(1.05, 9.8).payload(), tolerance=0.10)
+    baseline = _suite(1.0, 10.0)
+    within = compare(baseline, _suite(1.05, 9.8), tolerance=0.10)
     assert within.ok and not within.improvements
-    better = compare(baseline, _suite(0.5, 20.0).payload(), tolerance=0.10)
+    better = compare(baseline, _suite(0.5, 20.0), tolerance=0.10)
     assert better.ok
     assert len(better.improvements) == 2
 
 
 def test_compare_reports_missing_rows_and_metrics():
-    baseline = _suite(1.0, 10.0).payload()
+    baseline = _suite(1.0, 10.0)
     empty = compare(baseline, {"name": "demo", "rows": []})
     assert empty.ok  # nothing compared, but coverage loss is surfaced
     assert empty.skipped == ["relaxed: row missing from current run"]
 
-    stripped = _suite(1.0, 10.0).payload()
+    stripped = _suite(1.0, 10.0)
     del stripped["rows"][0]["metrics"]["f_objective"]
     report = compare(baseline, stripped)
     assert any("f_objective" in note for note in report.skipped)
 
 
 def test_info_metrics_never_fail_compare():
-    suite = BenchSuite("demo")
-    suite.add_row("row", metrics={"rounds": 10.0})
-    baseline = suite.payload()
-    other = BenchSuite("demo")
-    other.add_row("row", metrics={"rounds": 1000.0})
-    assert compare(baseline, other.payload()).ok
-
-
-def test_cli_compare_exit_codes(tmp_path, capsys):
-    base_dir = tmp_path / "base"
-    cur_dir = tmp_path / "cur"
-    _suite(1.0, 10.0).write(base_dir)
-    _suite(1.0, 10.0).write(cur_dir)
-    assert main(
-        ["compare", str(base_dir / "BENCH_demo.json"),
-         str(cur_dir / "BENCH_demo.json")]
-    ) == 0
-    _suite(9.0, 1.0).write(cur_dir)
-    assert main(
-        ["compare", str(base_dir / "BENCH_demo.json"),
-         str(cur_dir / "BENCH_demo.json")]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out
-
-
-def test_cli_compare_files_helper(tmp_path):
-    a = _suite(1.0, 10.0).write(tmp_path / "a")
-    b = _suite(1.2, 10.0).write(tmp_path / "b")
-    report = compare_files(a, b, tolerance=0.10)
-    assert [r.metric for r in report.regressions] == ["sim_time_seconds"]
+    baseline = _payload({"rounds": 10.0})
+    assert compare(baseline, _payload({"rounds": 1000.0})).ok
 
 
 def test_cli_validate_trace(tmp_path, capsys):
@@ -155,24 +91,10 @@ def test_cli_validate_trace(tmp_path, capsys):
         pass
     good = tmp_path / "good.jsonl"
     tracer.write_jsonl(good)
-    assert main(["validate-trace", str(good)]) == 0
+    assert main(["obs", "validate-trace", str(good)]) == 0
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"type": "event", "name": "orphan"}\n')
-    assert main(["validate-trace", str(bad)]) == 1
+    assert main(["obs", "validate-trace", str(bad)]) == 1
     assert "invalid" in capsys.readouterr().err
-
-
-def test_committed_baselines_load_and_self_compare():
-    """The committed BENCH_*.json files parse and compare clean vs selves."""
-    from pathlib import Path
-
-    baseline_dir = Path(__file__).resolve().parents[2] / "benchmarks/baselines"
-    paths = sorted(baseline_dir.glob("BENCH_*.json"))
-    assert {p.name for p in paths} >= {
-        "BENCH_engines.json", "BENCH_overhead.json",
-    }
-    for path in paths:
-        payload = load_baseline(path)
-        report = compare(payload, payload)
-        assert report.ok and not report.skipped
+    assert main(["obs", "validate-trace", str(tmp_path / "missing.jsonl")]) == 2

@@ -6,9 +6,14 @@ import pytest
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.core.engines import ENGINES
+from repro.core.options import RunOptions
+from repro.generators.rmat import rmat_graph
 from repro.obs.instrument import (
+    M_CAS_ATTEMPTS,
     M_COMPRESSION,
+    M_DEDUP_HITS,
     M_FRONTIER,
+    M_HASH_PROBES,
     M_MOVES,
     M_RESILIENCE_EVENTS,
     M_ROUND_GAIN,
@@ -150,3 +155,19 @@ def test_resilience_events_land_in_trace_and_metrics(karate):
     counter = instr.metrics.get(M_RESILIENCE_EVENTS)
     assert counter.value(kind="budget-stop") >= 1
     assert validate_trace_records(instr.tracer.records) == []
+
+
+def test_contention_telemetry_is_emitted():
+    """An instrumented relaxed run on RMAT emits every contention counter
+    and per-worker chunks, so a refactor that drops one shows up here."""
+    graph = rmat_graph(8, 8 * 2**8, seed=0)
+    instr = Instrumentation()
+    cluster(
+        graph,
+        ClusteringConfig(resolution=0.05, refine=False, seed=1),
+        RunOptions(instrumentation=instr),
+    )
+    assert instr.metrics.get(M_CAS_ATTEMPTS).total() > 0
+    assert instr.metrics.get(M_DEDUP_HITS).total() > 0
+    assert instr.metrics.get(M_HASH_PROBES).total_count() > 0
+    assert instr.tracer.worker_records()

@@ -8,7 +8,6 @@ gate ``make smoke-obs`` runs.
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.bench import main as bench_main
 from repro.obs.metrics import parse_prometheus
 from repro.obs.schema import validate_trace_file
 from repro.obs.tracer import Tracer, span_tree
@@ -47,5 +46,5 @@ def test_traced_cli_clustering_smoke(tmp_path, capsys):
     assert sum(by_name["repro_moves_total"]) > 0
     assert by_name["repro_objective_f"][0] > 0
 
-    # The bench CLI's validate-trace gate agrees.
-    assert bench_main(["validate-trace", str(trace)]) == 0
+    # The CLI's validate-trace gate agrees.
+    assert cli_main(["obs", "validate-trace", str(trace)]) == 0
